@@ -1786,12 +1786,16 @@ class CoDS:
         latent corruption — a replica poisoned by a corrupted REPLICATION
         write — is found *before* a consumer trips over it. A corrupt copy
         is repaired in place from any clean copy of the same logical object
-        (one REPLICATION transfer); with no clean copy reachable it is left
-        for the recovery ladder's re-enactment rung.
+        (one REPLICATION transfer) whose holder is reachable across any open
+        network cut. The repair transfer lands before the corrupt copy is
+        evicted, as in :meth:`_replicate`. With no reachable clean copy the
+        corrupt one stays put: a later pass (after the heal) repairs it, or
+        the recovery ladder's re-enactment rung regenerates the object.
 
         Returns ``(copies_checked, corrupt_found, repaired)``.
         """
         checked = corrupt = repaired = 0
+        injector = self.dart.injector if self._partitions_armed() else None
         for core in sorted(self._stores):
             store = self._stores[core]
             for obj in sorted(store.objects(), key=lambda o: o.key()):
@@ -1813,12 +1817,16 @@ class CoDS:
                         cstore.get(obj.var, obj.version, of=owner)
                         if cstore is not None else None
                     )
-                    if cand is not None and cand.verify_checksum():
+                    if cand is None or not cand.verify_checksum():
+                        continue
+                    if injector is None or injector.reachable(
+                        self.cluster.node_of_core(c),
+                        self.cluster.node_of_core(core),
+                    ):
                         clean = cand
                         break
                 if clean is None:
-                    continue  # no clean source; lost_objects handles it
-                store.evict(obj.var, obj.version, of=owner)
+                    continue  # no reachable clean source: retry next pass
                 rec = self.dart.transfer(
                     src_core=clean.owner_core,
                     dst_core=core,
@@ -1826,6 +1834,7 @@ class CoDS:
                     kind=TransferKind.REPLICATION,
                     var=obj.var,
                 )
+                store.evict(obj.var, obj.version, of=owner)
                 fixed = _dc_replace(
                     clean,
                     owner_core=core,

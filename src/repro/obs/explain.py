@@ -49,9 +49,9 @@ __all__ = [
 ]
 
 #: Provenance record kind -> the critical-path category its time would be
-#: attributed to (:data:`repro.obs.critpath.CATEGORIES` plus the gray and
-#: partition extensions). The alignment lets a why-chain hop be read next
-#: to a ``repro-insitu trace-report`` attribution line.
+#: attributed to (:data:`repro.obs.critpath.CATEGORIES` plus the gray,
+#: partition and memory extensions). The alignment lets a why-chain hop be
+#: read next to a ``repro-insitu trace-report`` attribution line.
 KIND_CATEGORY = {
     "workflow.submit": "wait",
     "bundle.dispatch": "wait",
@@ -59,6 +59,8 @@ KIND_CATEGORY = {
     "bundle.partition_wait": "partition.wait",
     "bundle.partition_escalate": "partition.wait",
     "bundle.stale_abandon": "partition.wait",
+    "bundle.memory_wait": "mem.wait",
+    "bundle.memory_escalate": "mem.wait",
     "bundle.data_loss_retry": "recovery",
     "bundle.reenact": "recovery",
     "bundle.speculate": "speculation",

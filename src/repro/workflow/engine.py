@@ -21,7 +21,7 @@ Lookup service that only has content once the producer has run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.mapping.base import MappingResult, TaskMapper
@@ -34,6 +34,7 @@ from repro.errors import (
     MemoryPressureError,
     NetworkPartitionError,
     QuorumError,
+    RetryPolicy,
     ScheduleError,
     StaleWriteError,
     WorkflowError,
@@ -102,6 +103,97 @@ class TraceEvent:
         return f"[t={self.time:10.6f}] {self.event} bundle={self.bundle}{who}{extra}"
 
 
+@dataclass(frozen=True)
+class RetryRung:
+    """One row of :data:`RETRY_TABLE`: how a failed enactment is retried.
+
+    A retry supersedes the failed enactment (bumped generation, aborted
+    spans, released clients) and relaunches the bundle after
+    ``policy.delay(attempt)`` sim-seconds, billed to ``category`` on the
+    critical path. Rows with the same ``name`` share one per-bundle attempt
+    budget; once it is spent the bundle moves to the ``escalate`` rung, or
+    fails when there is none. Every rung waits a fixed 0.05 s (backoff 1.0:
+    ``0.05 * 1.0 ** k == 0.05`` exactly, so retry delays never drift).
+    """
+
+    #: rung name; also the attempt-budget key and the exhaustion message word
+    name: str
+    errors: "tuple[type[Exception], ...]"
+    #: attempt budget and delay; None for the fence row, which has no budget
+    policy: "RetryPolicy | None"
+    #: engine trace event, provenance kind and critpath category of a retry
+    event: str
+    kind: str
+    category: str
+    #: registry counter bumped on every failure of this class
+    counter: "str | None" = None
+    #: rung taking over once the budget is spent (None: the bundle fails)
+    escalate: "RetryRung | None" = None
+    #: (counter, fault-trace event, provenance kind) marking an escalation
+    escalation: "tuple[str, str, str] | None" = None
+    #: the budget resets when the bundle completes
+    resets: bool = True
+    #: the engine's ``partition_deadline`` also bounds the wait
+    timed: bool = False
+    #: extra provenance fields of a retry record
+    fields: "tuple[tuple[str, Any], ...]" = ()
+
+
+#: The data-loss rung: the resilience manager re-enacts the lost data's
+#: producer in parallel, so a backed-off relaunch finds the space
+#: repopulated. Its budget spans the bundle's whole life.
+_DATA_LOSS = RetryRung(
+    "data-loss", (DataLostError,), RetryPolicy(8, 0.05, 1.0),
+    "bundle_data_loss_retry", "bundle.data_loss_retry", "recovery",
+    resets=False,
+)
+#: An active cut blocked a put or get: the data (or its missing quorum
+#: acks) still exists on the far side, so the bundle waits the cut out. Past
+#: ``partition_deadline`` the manager has fenced the far side off and
+#: re-replicated, so the data-loss rung repopulates from the majority.
+_PARTITION = RetryRung(
+    "partition", (NetworkPartitionError,), RetryPolicy(64, 0.05, 1.0),
+    "bundle_partition_wait", "bundle.partition_wait", "partition.wait",
+    counter="workflow.partition.retries", escalate=_DATA_LOSS,
+    escalation=("workflow.partition.escalations", "partition_wait_escalated",
+                "bundle.partition_escalate"),
+    timed=True, fields=(("quorum", False),),
+)
+_QUORUM = replace(
+    _PARTITION, errors=(QuorumError,), category="quorum.degraded",
+    counter="workflow.quorum.retries", fields=(("quorum", True),),
+)
+#: A put (or spill restore) was not admitted: nothing is lost, the store is
+#: over its watermark, so the bundle waits for consumers to drain space.
+_MEMORY = RetryRung(
+    "memory", (MemoryPressureError,), RetryPolicy(64, 0.05, 1.0),
+    "bundle_memory_wait", "bundle.memory_wait", "mem.wait",
+    counter="workflow.memory.retries", escalate=_DATA_LOSS,
+    escalation=("workflow.memory.escalations", "memory_wait_escalated",
+                "bundle.memory_escalate"),
+)
+#: The enactment's writes were fenced off: a higher write generation owns
+#: the objects (the healed-minority case). A superseded instance stands
+#: down; the bundle's latest generation relaunches to clear the fence.
+_FENCED = RetryRung(
+    "stale", (StaleWriteError,), None,
+    "bundle_stale_abandoned", "bundle.stale_abandon", "partition.wait",
+    counter="workflow.partition.stale_abandons",
+)
+
+#: Every failure class the engine retries, one row each.
+RETRY_TABLE = (_DATA_LOSS, _PARTITION, _QUORUM, _MEMORY, _FENCED)
+
+#: failures a network cut can cause at mapping time (missing coverage only
+#: counts while a cut is open; see ``WorkflowEngine._rung_of``)
+_CUT_ERRORS = (NetworkPartitionError, QuorumError, ScheduleError, LookupError_)
+
+#: every failure a launch may retry
+_RETRYABLE = (
+    *(e for rung in RETRY_TABLE for e in rung.errors), ScheduleError, LookupError_
+)
+
+
 class WorkflowEngine:
     """Enacts one workflow DAG on a cluster."""
 
@@ -136,7 +228,7 @@ class WorkflowEngine:
         # re-dispatch waits for *detection*: the resilience manager calls
         # handle_node_crash once the detector declares the node dead.
         if injector is not None and not defer_crash_redispatch:
-            injector.add_node_crash_listener(self._on_node_crash)
+            injector.add_node_crash_listener(self.handle_node_crash)
         self._routines: dict[int, AppRoutine] = {}
         self._mappers: dict[int, tuple[TaskMapper, dict[str, Any]]] = {}
         self.default_mapper: TaskMapper = RoundRobinMapper()
@@ -150,29 +242,14 @@ class WorkflowEngine:
         #: a fenced minority declared dead together) must launch it once
         self._launched: set[tuple[int, int]] = set()
         self._completed: set[int] = set()
-        #: simulated delay before retrying a bundle whose get hit lost data
-        self.data_loss_retry: float = 0.05
-        #: retry budget per bundle for the data-loss rung of the ladder
-        self.max_data_loss_retries: int = 8
-        self._data_loss_attempts: dict[int, int] = {}
-        #: simulated delay before retrying a bundle blocked by a network cut
-        self.partition_retry: float = 0.05
-        #: per-bundle wall budget for waiting a cut out before escalating to
-        #: the data-loss rung (None = only the retry-count budget applies;
+        #: per-bundle sim-time budget for waiting a cut out before escalating
+        #: to the data-loss rung (None = only the retry-count budget applies;
         #: the resilience manager mirrors its configured deadline here)
         self.partition_deadline: "float | None" = None
-        #: retry budget per bundle for partition wait-outs
-        self.max_partition_retries: int = 64
-        self._partition_attempts: dict[int, int] = {}
-        self._partition_wait_since: dict[int, float] = {}
-        self._partition_counters: dict[str, object] = {}
-        #: simulated delay before retrying a bundle whose put hit memory
-        #: pressure (the ``mem.wait`` backpressure stall)
-        self.memory_retry: float = 0.05
-        #: retry budget per bundle for memory-pressure backoffs before the
-        #: bundle escalates to the data-loss rung
-        self.max_memory_retries: int = 64
-        self._memory_attempts: dict[int, int] = {}
+        #: (bundle, rung name) -> attempts spent from that rung's budget
+        self._attempts: dict[tuple[int, str], int] = {}
+        #: bundle -> sim time its current partition wait began
+        self._wait_since: dict[int, float] = {}
         #: zero-arg callable returning accrued deep-memory (write, read)
         #: seconds since the last call; the experiment driver binds it to
         #: ``CoDS.drain_spill_seconds`` so spill traffic stretches the app
@@ -195,7 +272,6 @@ class WorkflowEngine:
         #: core; the first finisher wins (None disables speculation)
         self.speculation_threshold = speculation_threshold
         self.registry = registry
-        self._spec_counters: dict[str, object] = {}
         self._spec_spans: dict[tuple[int, int], Span] = {}
         # -- causal provenance (inert behind one `enabled` check) --
         #: decision ledger; NULL_LEDGER keeps unledgered runs byte-identical
@@ -216,23 +292,10 @@ class WorkflowEngine:
         self._prov_last[bundle] = rid
         return rid
 
-    def _spec_count(self, name: str) -> None:
-        """Bump a lazily created ``workflow.speculation.*`` counter."""
-        if self.registry is None:
-            return
-        c = self._spec_counters.get(name)
-        if c is None:
-            c = self._spec_counters[name] = self.registry.counter(name)
-        c.inc()
-
-    def _partition_count(self, name: str) -> None:
-        """Bump a lazily created ``workflow.partition.*`` counter."""
-        if self.registry is None:
-            return
-        c = self._partition_counters.get(name)
-        if c is None:
-            c = self._partition_counters[name] = self.registry.counter(name)
-        c.inc()
+    def _count(self, name: "str | None") -> None:
+        """Bump registry counter ``name``, created on first use."""
+        if self.registry is not None and name is not None:
+            self.registry.counter(name).inc()
 
     # -- configuration ----------------------------------------------------------------
 
@@ -351,20 +414,11 @@ class WorkflowEngine:
                     mapping = mapper.map_bundle(apps, self.cluster, **resolved)
             else:
                 mapping = mapper.map_bundle(apps, self.cluster, **resolved)
-        except (NetworkPartitionError, QuorumError) as exc:
+        except _CUT_ERRORS as exc:
             # Data-locality lookups cross the DHT; an active cut stalls the
             # mapping decision the same way it stalls the bundle body.
-            self._retry_after_partition(index, gen, exc)
+            self._retry(index, gen, exc)
             return
-        except (ScheduleError, LookupError_) as exc:
-            if (
-                self.injector is not None
-                and self.injector.plan.has_partitions
-                and self.injector.partition_active()
-            ):
-                self._retry_after_partition(index, gen, exc)
-                return
-            raise
         if self.provenance.enabled:
             self._prov_chain(
                 "bundle.place", index, gen=gen,
@@ -469,186 +523,119 @@ class WorkflowEngine:
                     )
             if self.speculation_threshold is not None and slow and len(apps) > 1:
                 self._arm_speculation(index, gen, base_durs, eff_durs)
-        except DataLostError as exc:
-            self._retry_after_data_loss(index, gen, exc)
-        except (NetworkPartitionError, QuorumError) as exc:
-            self._retry_after_partition(index, gen, exc)
-        except StaleWriteError as exc:
-            self._abandon_stale_bundle(index, gen, exc)
-        except MemoryPressureError as exc:
-            self._retry_after_memory_pressure(index, gen, exc)
-        except (ScheduleError, LookupError_) as exc:
-            # Degraded metadata during an active cut looks like missing
-            # coverage (registrations deferred on cut-off DHT cores); wait
-            # the partition out instead of failing the run.
-            if (
-                self.injector is not None
-                and self.injector.plan.has_partitions
-                and self.injector.partition_active()
-            ):
-                self._retry_after_partition(index, gen, exc)
-            else:
-                raise
+        except _RETRYABLE as exc:
+            self._retry(index, gen, exc)
 
-    def _retry_after_data_loss(self, index: int, gen: int, exc: Exception) -> None:
-        """A bundle's get hit an object with zero surviving copies.
+    def _rung_of(self, exc: Exception) -> "RetryRung | None":
+        """The retry-table row covering ``exc``; None for a fatal failure.
 
-        Back off and re-launch the whole bundle: the resilience manager
-        re-enacts the lost data's producer in parallel, so the retry finds
-        the space repopulated. A bounded retry budget keeps a truly
-        unrecoverable loss from looping forever.
+        Degraded metadata during an active cut looks like missing coverage
+        (registrations deferred on cut-off DHT cores), so a schedule or
+        lookup failure while a cut is open waits the partition out.
         """
-        attempts = self._data_loss_attempts.get(index, 0) + 1
-        self._data_loss_attempts[index] = attempts
-        if attempts > self.max_data_loss_retries:
-            raise WorkflowError(
-                f"bundle {index} still hits lost data after "
-                f"{self.max_data_loss_retries} retries: {exc}"
-            ) from exc
-        bundle = self.dag.bundles[index]
-        self._gen[index] = gen + 1
-        span = self._bundle_spans.pop((index, gen), None)
-        if span is not None:
-            self.tracer.end_async(span, aborted=True)
-        for app_id in bundle.app_ids:
-            span = self._app_spans.pop((app_id, gen), None)
-            if span is not None:
-                self.tracer.end_async(span, aborted=True)
-            self.server.release_app(app_id)
-        self.trace.append(TraceEvent(
-            time=self.sim.now, event="bundle_data_loss_retry", bundle=index,
-            detail=f"attempt={attempts} ({exc})",
-        ))
-        if self.provenance.enabled:
-            self._prov_chain(
-                "bundle.data_loss_retry", index, gen=gen + 1,
-                attempt=attempts, error=type(exc).__name__,
+        for rung in RETRY_TABLE:
+            if isinstance(exc, rung.errors):
+                return rung
+        if (
+            isinstance(exc, (ScheduleError, LookupError_))
+            and self.injector is not None
+            and self.injector.plan.has_partitions
+            and self.injector.partition_active()
+        ):
+            return _PARTITION
+        return None
+
+    def _retry(self, index: int, gen: int, exc: Exception) -> None:
+        """Retry bundle ``index`` after its enactment ``gen`` raised ``exc``.
+
+        Spends one attempt of the failure's :data:`RETRY_TABLE` rung,
+        escalating while a budget is spent, then supersedes the enactment.
+        A failure no row covers re-raises.
+        """
+        rung = self._rung_of(exc)
+        if rung is None:
+            raise exc
+        self._count(rung.counter)
+        if rung.policy is None:
+            # Fenced: no budget. Only the bundle's latest generation
+            # relaunches (after the partition delay) to clear the fence.
+            if self.injector is not None:
+                self.injector.record(
+                    "stale_bundle_abandoned", f"bundle={index} gen={gen} ({exc})"
+                )
+            latest = gen == self._gen.get(index, 0)
+            self._supersede(
+                index, gen, rung.event, f"gen={gen} ({exc})", rung.kind,
+                _PARTITION.policy.delay(1) if latest else None, rung.category,
+                gen=gen, error=type(exc).__name__,
             )
-        self.sim.schedule(
-            self.data_loss_retry, self._launch_bundle, index,
-            category="recovery",
-        )
-
-    def _retry_after_partition(self, index: int, gen: int, exc: Exception) -> None:
-        """A bundle's puts or gets were blocked by an active network cut.
-
-        Unlike data loss, the data (or its missing quorum acks) still
-        exists on the far side, so the cheap move is to *wait the cut out*:
-        back off and re-launch under a bumped generation (stale-write
-        fencing relies on the bump). Retry events carry the
-        ``partition.wait`` category — ``quorum.degraded`` for quorum
-        shortfalls — so critical-path attribution bills the stall to the
-        partition, not to compute. Past ``partition_deadline`` (or the
-        retry-count budget) the bundle escalates to the data-loss rung: by
-        then the resilience manager has fenced the unreachable side off and
-        re-replicated, so that path repopulates from the majority.
-        """
+            return
         now = self.sim.now
-        since = self._partition_wait_since.setdefault(index, now)
-        attempts = self._partition_attempts.get(index, 0) + 1
-        self._partition_attempts[index] = attempts
-        quorum = isinstance(exc, QuorumError)
-        self._partition_count(
-            "workflow.quorum.retries" if quorum
-            else "workflow.partition.retries"
-        )
-        deadline_passed = (
-            self.partition_deadline is not None
-            and now - since >= self.partition_deadline
-        )
-        if deadline_passed or attempts > self.max_partition_retries:
-            self._partition_count("workflow.partition.escalations")
+        chain = [rung.name]
+        while True:
+            key = (index, rung.name)
+            attempts = self._attempts[key] = self._attempts.get(key, 0) + 1
+            waited = deadline = None
+            if rung.timed:
+                waited = now - self._wait_since.setdefault(index, now)
+                deadline = self.partition_deadline
+            if attempts <= rung.policy.max_retries and (
+                deadline is None or waited < deadline
+            ):
+                break
+            if rung.escalate is None:
+                raise WorkflowError(
+                    f"bundle {index} gave up after {rung.policy.max_retries} "
+                    f"{rung.name} retries ({' → '.join(chain)}, "
+                    f"{type(exc).__name__}: {exc})"
+                ) from exc
+            counter, fault, kind = rung.escalation
+            self._count(counter)
+            extra = {} if waited is None else {"waited": waited}
             if self.injector is not None:
+                note = "" if waited is None else f" waited={waited:.6g}s"
                 self.injector.record(
-                    "partition_wait_escalated",
-                    f"bundle={index} waited={now - since:.6g}s "
-                    f"attempts={attempts}",
+                    fault, f"bundle={index}{note} attempts={attempts}"
                 )
             if self.provenance.enabled:
-                self._prov_chain(
-                    "bundle.partition_escalate", index,
-                    waited=now - since, attempts=attempts,
-                )
-            self._retry_after_data_loss(index, gen, exc)
-            return
-        bundle = self.dag.bundles[index]
-        self._gen[index] = gen + 1
-        span = self._bundle_spans.pop((index, gen), None)
-        if span is not None:
-            self.tracer.end_async(span, aborted=True)
-        for app_id in bundle.app_ids:
-            span = self._app_spans.pop((app_id, gen), None)
-            if span is not None:
-                self.tracer.end_async(span, aborted=True)
-            self.server.release_app(app_id)
-        self.trace.append(TraceEvent(
-            time=now, event="bundle_partition_wait", bundle=index,
-            detail=f"attempt={attempts} ({exc})",
-        ))
-        if self.provenance.enabled:
-            self._prov_chain(
-                "bundle.partition_wait", index, gen=gen + 1,
-                attempt=attempts, quorum=quorum,
-                error=type(exc).__name__,
-            )
-        self.sim.schedule(
-            self.partition_retry, self._launch_bundle, index,
-            category="quorum.degraded" if quorum else "partition.wait",
+                self._prov_chain(kind, index, **extra, attempts=attempts)
+            rung = rung.escalate
+            chain.append(rung.name)
+        self._supersede(
+            index, gen, rung.event, f"attempt={attempts} ({exc})", rung.kind,
+            rung.policy.delay(attempts), rung.category,
+            gen=gen + 1, attempt=attempts, **dict(rung.fields),
+            error=type(exc).__name__,
         )
 
-    def _retry_after_memory_pressure(
-        self, index: int, gen: int, exc: Exception
+    def _supersede(
+        self, index: int, old_gen: int, event: str, detail: str, kind: str,
+        delay: "float | None", category: "str | None" = None,
+        **fields: Any,
     ) -> None:
-        """A bundle's put (or spill restore) could not be admitted.
-
-        Nothing is lost — the producer still holds its data; the target
-        store is simply over its high watermark and the reclaim ladder came
-        up short. The cheap move is to *wait space out*: back off on the
-        sim clock and re-launch under a bumped generation, giving consumers
-        time to drain the space (retry events carry the ``mem.wait``
-        category so critical-path attribution bills the stall to memory
-        pressure, not compute). Past the retry budget the bundle escalates
-        to the data-loss rung.
-        """
-        attempts = self._memory_attempts.get(index, 0) + 1
-        self._memory_attempts[index] = attempts
-        self._partition_count("workflow.memory.retries")
-        if attempts > self.max_memory_retries:
-            self._partition_count("workflow.memory.escalations")
-            if self.injector is not None:
-                self.injector.record(
-                    "memory_wait_escalated",
-                    f"bundle={index} attempts={attempts}",
-                )
-            if self.provenance.enabled:
-                self._prov_chain(
-                    "bundle.memory_escalate", index, attempts=attempts,
-                )
-            self._retry_after_data_loss(index, gen, exc)
-            return
-        bundle = self.dag.bundles[index]
-        self._gen[index] = gen + 1
-        span = self._bundle_spans.pop((index, gen), None)
+        """Abort enactment ``old_gen`` of bundle ``index``: close its spans,
+        free its clients, log ``event`` and ledger ``kind``. With a ``delay``
+        the generation bumps and the bundle relaunches after it, billed to
+        ``category``; ``delay=None`` only stands the enactment down."""
+        if delay is not None:
+            self._gen[index] = old_gen + 1
+        span = self._bundle_spans.pop((index, old_gen), None)
         if span is not None:
             self.tracer.end_async(span, aborted=True)
-        for app_id in bundle.app_ids:
-            span = self._app_spans.pop((app_id, gen), None)
+        for app_id in self.dag.bundles[index].app_ids:
+            span = self._app_spans.pop((app_id, old_gen), None)
             if span is not None:
                 self.tracer.end_async(span, aborted=True)
             self.server.release_app(app_id)
         self.trace.append(TraceEvent(
-            time=self.sim.now, event="bundle_memory_wait", bundle=index,
-            detail=f"attempt={attempts} ({exc})",
+            time=self.sim.now, event=event, bundle=index, detail=detail,
         ))
         if self.provenance.enabled:
-            self._prov_chain(
-                "bundle.memory_wait", index, gen=gen + 1,
-                attempt=attempts, error=type(exc).__name__,
+            self._prov_chain(kind, index, **fields)
+        if delay is not None:
+            self.sim.schedule(
+                delay, self._launch_bundle, index, category=category
             )
-        self.sim.schedule(
-            self.memory_retry, self._launch_bundle, index,
-            category="mem.wait",
-        )
 
     def _advance_spill(
         self, index: int, app_id: int, gen: int,
@@ -672,44 +659,6 @@ class WorkflowEngine:
             )
             return
         self._complete_app(index, app_id, gen)
-
-    def _abandon_stale_bundle(self, index: int, gen: int, exc: Exception) -> None:
-        """This enactment's writes were fenced off as stale.
-
-        A higher write generation already owns the logical objects — the
-        healed-minority case: majority-side re-dispatch committed first.
-        A superseded instance simply stands down; an instance that is
-        still the bundle's latest generation re-launches under a bumped
-        one so its retry clears the fence.
-        """
-        self._partition_count("workflow.partition.stale_abandons")
-        if self.injector is not None:
-            self.injector.record(
-                "stale_bundle_abandoned", f"bundle={index} gen={gen} ({exc})"
-            )
-        span = self._bundle_spans.pop((index, gen), None)
-        if span is not None:
-            self.tracer.end_async(span, aborted=True)
-        for app_id in self.dag.bundles[index].app_ids:
-            span = self._app_spans.pop((app_id, gen), None)
-            if span is not None:
-                self.tracer.end_async(span, aborted=True)
-            self.server.release_app(app_id)
-        self.trace.append(TraceEvent(
-            time=self.sim.now, event="bundle_stale_abandoned", bundle=index,
-            detail=f"gen={gen} ({exc})",
-        ))
-        if self.provenance.enabled:
-            self._prov_chain(
-                "bundle.stale_abandon", index, gen=gen,
-                error=type(exc).__name__,
-            )
-        if gen == self._gen.get(index, 0):
-            self._gen[index] = gen + 1
-            self.sim.schedule(
-                self.partition_retry, self._launch_bundle, index,
-                category="partition.wait",
-            )
 
     # -- straggler speculation -----------------------------------------------------
 
@@ -764,7 +713,7 @@ class WorkflowEngine:
         node = self.cluster.node_of_core(core)
         now = self.sim.now
         spec_finish = self.injector.slowed_finish([node], now, base_duration)
-        self._spec_count("workflow.speculation.launched")
+        self._count("workflow.speculation.launched")
         self.injector.record(
             "speculation_launched", f"app={app_id} core={core}"
         )
@@ -796,7 +745,7 @@ class WorkflowEngine:
             return
         span = self._spec_spans.pop((app_id, gen), None)
         if app_id in self._completed:
-            self._spec_count("workflow.speculation.cancelled")
+            self._count("workflow.speculation.cancelled")
             self.trace.append(TraceEvent(
                 time=self.sim.now, event="speculation_cancelled", bundle=index,
                 app_id=app_id, detail="original finished first",
@@ -804,7 +753,7 @@ class WorkflowEngine:
             if span is not None:
                 self.tracer.end_async(span, aborted=True)
             return
-        self._spec_count("workflow.speculation.wins")
+        self._count("workflow.speculation.wins")
         self.injector.record("speculation_won", f"app={app_id}")
         run = self.runs.get(app_id)
         if run is not None:
@@ -840,9 +789,10 @@ class WorkflowEngine:
         if self._apps_pending[bundle_index] == 0:
             # A later cut blocking this bundle again starts a fresh wait
             # window; the old one must not pre-expire its deadline.
-            self._partition_wait_since.pop(bundle_index, None)
-            self._partition_attempts.pop(bundle_index, None)
-            self._memory_attempts.pop(bundle_index, None)
+            self._wait_since.pop(bundle_index, None)
+            for rung in RETRY_TABLE:
+                if rung.resets:
+                    self._attempts.pop((bundle_index, rung.name), None)
             span = self._bundle_spans.pop((bundle_index, gen), None)
             if span is not None:
                 self.tracer.end_async(span)
@@ -960,15 +910,6 @@ class WorkflowEngine:
 
     # -- fault handling -----------------------------------------------------------------
 
-    def handle_node_crash(self, node: int) -> None:
-        """Re-dispatch work hit by a node crash (public entry point).
-
-        In resilience mode (``defer_crash_redispatch=True``) the failure
-        detector — not the injector — decides *when* the workflow learns of
-        a crash; the resilience manager calls this at detection time.
-        """
-        self._on_node_crash(node)
-
     def reenact_bundle(self, index: int, reason: str = "") -> None:
         """Re-enact one bundle, superseding any in-flight enactment.
 
@@ -983,29 +924,14 @@ class WorkflowEngine:
         if not hasattr(self, "_apps_pending"):
             raise WorkflowError("engine has not started enactment")
         old_gen = self._gen.get(index, 0)
-        self._gen[index] = old_gen + 1
         self.reenactments[index] = self.reenactments.get(index, 0) + 1
-        span = self._bundle_spans.pop((index, old_gen), None)
-        if span is not None:
-            self.tracer.end_async(span, aborted=True)
-        for app_id in self.dag.bundles[index].app_ids:
-            span = self._app_spans.pop((app_id, old_gen), None)
-            if span is not None:
-                self.tracer.end_async(span, aborted=True)
-            self.server.release_app(app_id)
-        self.trace.append(TraceEvent(
-            time=self.sim.now, event="bundle_reenacted", bundle=index,
-            detail=reason,
-        ))
-        if self.provenance.enabled:
-            self._prov_chain(
-                "bundle.reenact", index, gen=old_gen + 1,
-                rung="reenactment", reason=reason,
-            )
-        self.sim.schedule(0.0, self._launch_bundle, index)
+        self._supersede(
+            index, old_gen, "bundle_reenacted", reason, "bundle.reenact", 0.0,
+            gen=old_gen + 1, rung="reenactment", reason=reason,
+        )
 
-    def _on_node_crash(self, node: int) -> None:
-        """React to a node crash fired by the fault injector.
+    def handle_node_crash(self, node: int) -> None:
+        """Re-dispatch work hit by a node crash.
 
         The crashed node's execution clients leave the pool, and every
         bundle with an in-flight application that had tasks on the node is
@@ -1013,6 +939,11 @@ class WorkflowEngine:
         paper's mapping machinery doubles as the re-dispatch policy) and all
         of its applications re-execute. Completions of the superseded
         enactment are ignored via a per-bundle generation counter.
+
+        The fault injector calls this when the crash fires; in resilience
+        mode (``defer_crash_redispatch=True``) the failure detector decides
+        *when* the workflow learns of a crash instead, and the resilience
+        manager calls this at detection time.
         """
         now = self.sim.now
         crashed = set(self.cluster.cores_of_node(node))
@@ -1039,23 +970,10 @@ class WorkflowEngine:
             if not hit:
                 continue
             old_gen = self._gen.get(index, 0)
-            self._gen[index] = old_gen + 1
             self.reenactments[index] = self.reenactments.get(index, 0) + 1
-            span = self._bundle_spans.pop((index, old_gen), None)
-            if span is not None:
-                self.tracer.end_async(span, aborted=True)
-            for app_id in bundle.app_ids:
-                span = self._app_spans.pop((app_id, old_gen), None)
-                if span is not None:
-                    self.tracer.end_async(span, aborted=True)
-                self.server.release_app(app_id)
-            self.trace.append(TraceEvent(
-                time=now, event="bundle_reenacted", bundle=index,
-                detail=f"after crash of node {node}",
-            ))
-            if self.provenance.enabled:
-                self._prov_chain(
-                    "bundle.reenact", index, gen=old_gen + 1,
-                    rung="redispatch", reason=f"crash of node {node}",
-                )
-            self.sim.schedule(0.0, self._launch_bundle, index)
+            self._supersede(
+                index, old_gen, "bundle_reenacted",
+                f"after crash of node {node}", "bundle.reenact", 0.0,
+                gen=old_gen + 1, rung="redispatch",
+                reason=f"crash of node {node}",
+            )

@@ -17,11 +17,13 @@ from repro.faults.plan import (
     DataCorruption,
     DuplicateDelivery,
     FaultPlan,
+    NetworkPartition,
     SlowNode,
 )
 from repro.hardware.cluster import Cluster
 from repro.hardware.spec import generic_multicore
 from repro.resilience.replication import ReplicaPlacer
+from repro.sim.engine import SimEngine
 from repro.transport.hybriddart import HybridDART
 
 DOMAIN = (8, 8, 8)
@@ -241,3 +243,34 @@ class TestScrub:
         put_domain(space)
         checked, corrupt, repaired = space.scrub()
         assert checked >= 2 and corrupt == 0 and repaired == 0
+
+    def test_scrub_waits_out_a_cut_to_the_clean_source(self):
+        """A repair never crosses an open cut: the corrupt replica stays,
+        one copy is never lost, and the pass after the heal repairs it."""
+        cluster = make_cluster()
+        injector = FaultInjector(FaultPlan(partitions=(NetworkPartition(
+            start=1.0, duration=2.0, groups=((0,), (1, 2, 3)),
+        ),)))
+        sim = SimEngine()
+        injector.arm(sim)
+        space = CoDS(
+            cluster, DOMAIN,
+            dart=HybridDART(cluster, injector=injector),
+            replication=2, placer=ReplicaPlacer(cluster, 0),
+        )
+        put_domain(space)  # primary on node 0, replica across the cut
+        space._poison_copy(replica_of(space))
+        passes = []
+
+        def scrub_pass():
+            _, corrupt, repaired = space.scrub()
+            kept = replica_of(space)
+            passes.append((corrupt, repaired, kept.verify_checksum()))
+
+        sim.schedule_at(2.0, scrub_pass)  # cut open
+        sim.schedule_at(4.0, scrub_pass)  # healed at 3.0
+        sim.run()
+        assert passes == [(1, 0, False), (1, 1, True)]
+        assert replica_of(space).verify_checksum()
+        assert space.lost_objects() == []
+        assert count(space, "integrity.scrub.repaired") == 1

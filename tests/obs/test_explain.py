@@ -141,15 +141,26 @@ class TestCategories:
         from repro.obs.critpath import (
             CATEGORIES,
             GRAY_CATEGORIES,
+            MEMORY_CATEGORIES,
             PARTITION_CATEGORIES,
         )
 
-        allowed = set(CATEGORIES) | set(GRAY_CATEGORIES) | set(
-            PARTITION_CATEGORIES
+        allowed = (
+            set(CATEGORIES) | set(GRAY_CATEGORIES)
+            | set(PARTITION_CATEGORIES) | set(MEMORY_CATEGORIES)
         )
         from repro.obs.explain import KIND_CATEGORY
+        from repro.workflow.engine import RETRY_TABLE
 
         assert set(KIND_CATEGORY.values()) <= allowed
+        # No retry hop falls back to ``wait``: every ledger kind a retry
+        # rung emits (retry and escalation records) has an entry.
+        for rung in RETRY_TABLE:
+            assert rung.kind in KIND_CATEGORY, rung.kind
+            if rung.escalation is not None:
+                assert rung.escalation[2] in KIND_CATEGORY, rung.escalation
+        assert KIND_CATEGORY["bundle.memory_wait"] == "mem.wait"
+        assert KIND_CATEGORY["bundle.memory_escalate"] == "mem.wait"
 
     def test_fault_kinds_default_to_recovery(self):
         assert category_of("fault.node_crash") == "recovery"

@@ -5,7 +5,13 @@ import pytest
 from repro.core.mapping.roundrobin import RoundRobinMapper
 from repro.core.task import AppSpec
 from repro.domain.descriptor import DecompositionDescriptor
-from repro.errors import WorkflowError
+from repro.errors import (
+    DataLostError,
+    MemoryPressureError,
+    NetworkPartitionError,
+    QuorumError,
+    WorkflowError,
+)
 from repro.hardware.cluster import Cluster
 from repro.hardware.spec import generic_multicore
 from repro.workflow.dag import Bundle, WorkflowDAG
@@ -134,3 +140,27 @@ class TestEnactment:
         eng.run()
         with pytest.raises(WorkflowError):
             eng.run()
+
+
+class TestRetryExhaustion:
+    """The give-up message names the rung chain and the original error."""
+
+    @pytest.mark.parametrize("exc_type, chain", [
+        (MemoryPressureError, "memory → data-loss"),
+        (QuorumError, "partition → data-loss"),
+        (NetworkPartitionError, "partition → data-loss"),
+        (DataLostError, "data-loss"),
+    ])
+    def test_message_names_chain_and_error(self, exc_type, chain):
+        eng = WorkflowEngine(WorkflowDAG([app(1)]), cluster())
+
+        def routine(ctx):
+            raise exc_type("no room")
+
+        eng.set_routine(1, routine)
+        with pytest.raises(WorkflowError) as info:
+            eng.run()
+        assert str(info.value) == (
+            f"bundle 0 gave up after 8 data-loss retries "
+            f"({chain}, {exc_type.__name__}: no room)"
+        )
