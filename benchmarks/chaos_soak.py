@@ -16,8 +16,8 @@ One seed additionally runs with tracing and a metrics registry attached;
 the emitted files are validated with benchmarks/check_trace.py, so the
 chaos path keeps producing balanced spans and well-formed snapshots.
 
-``--partition`` switches the soak to network partitions: each seed derives
-a deterministic two-island cut (sometimes flapping) and runs with quorum
+``--partition`` soaks network partitions: each seed derives a
+deterministic two-island cut (sometimes flapping) and runs with quorum
 writes/reads armed (W=2, R=1 over k=2 replication); half the seeds also
 arm a partition deadline so the waited-out and escalated recovery paths
 both soak. The partition invariants:
@@ -30,10 +30,10 @@ both soak. The partition invariants:
 * the whole run is deterministic: seed 0 runs twice and both runs must
   produce identical partition counters.
 
-``--oom`` switches the soak to memory pressure: each seed derives one or
-two deterministic capacity-shrink windows and runs with a node memory
-budget of about two coupled objects per core, so the admission-controlled
-put path, the reclaim ladder (GC, replica eviction, spill), backpressure
+``--oom`` soaks memory pressure: each seed derives one or two
+deterministic capacity-shrink windows and runs with a node memory budget
+of about two coupled objects per core, so the admission-controlled put
+path, the reclaim ladder (GC, replica eviction, spill), backpressure
 waits, and on-demand restores all engage. The OOM invariants:
 
 * the run completes — a put that cannot be admitted defers on
@@ -45,10 +45,10 @@ waits, and on-demand restores all engage. The OOM invariants:
 * the whole run is deterministic: seed 0 runs twice and both runs must
   produce identical memory counters.
 
-``--gray`` switches the soak to gray failures: each seed derives a plan
-combining a slow-node window, wildcard delivery corruption, and wildcard
-duplicate delivery, and runs with hedged pulls, straggler speculation, and
-periodic integrity scrubbing armed. The gray invariants:
+``--gray`` soaks gray failures: each seed derives a plan combining a slow-
+node window, wildcard delivery corruption, and wildcard duplicate
+delivery, and runs with hedged pulls, straggler speculation, and periodic
+integrity scrubbing armed. The gray invariants:
 
 * zero corrupted values reach a consumer — every corrupted delivery is
   caught by its checksum and re-fetched (``integrity.unrecoverable`` == 0,
@@ -58,7 +58,13 @@ periodic integrity scrubbing armed. The gray invariants:
 * the whole run is deterministic: seed 0 runs twice and both runs must
   produce identical gray counters.
 
-Usage:  python benchmarks/chaos_soak.py [--seeds N] [--replication K] [--gray]
+The class flags compose (no flag means ``--crash``): ``--crash --gray``
+merges both classes' draws into one plan per seed, each from its own RNG
+stream, and arms, tallies and checks the union of their knobs, counters
+and invariants.
+
+Usage:  python benchmarks/chaos_soak.py [--seeds N] [--replication K]
+            [--crash] [--gray] [--partition] [--oom] [--verbose]
 """
 
 from __future__ import annotations
@@ -68,6 +74,10 @@ import os
 import random
 import sys
 import tempfile
+from collections import Counter
+from dataclasses import dataclass, fields
+from functools import reduce
+from typing import Any, Callable
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 sys.path.insert(0, os.path.dirname(__file__))
@@ -107,12 +117,10 @@ SPARE_NODES = 2
 TASK_SIDE = 8
 
 
-def soak_scenario() -> CoupledScenario:
+def soak_scenario(spares: int = SPARE_NODES) -> CoupledScenario:
     """Fig 8-shaped sequential coupling with spare nodes for re-dispatch."""
     machine = generic_multicore(4)
-    cluster = Cluster(
-        num_nodes=PRODUCER_TASKS // 4 + SPARE_NODES, machine=machine
-    )
+    cluster = Cluster(num_nodes=PRODUCER_TASKS // 4 + spares, machine=machine)
     playout = layout_for(PRODUCER_TASKS)
     domain = tuple(p * TASK_SIDE for p in playout)
 
@@ -270,68 +278,8 @@ OOM_COUNTERS = (
     "workflow.memory.escalations",
 )
 
-
-def run_oom_seed(seed: int, replication: int, tracer=None, registry=None):
-    scenario = soak_scenario()
-    plan = oom_plan_for_seed(seed, scenario.cluster)
-    result = run_scenario(
-        scenario,
-        fault_plan=plan,
-        tracer=tracer,
-        registry=registry,
-        resilience=ResilienceConfig(replication=replication),
-        producer_compute=PRODUCER_COMPUTE,
-        consumer_compute=CONSUMER_COMPUTE,
-        enforce_memory=True,
-        memory_per_node=OOM_MEMORY_PER_NODE,
-    )
-    return plan, result
-
-
-def oom_counter_snapshot(result) -> dict[str, int]:
-    reg = result.registry
-    return {
-        name: int(reg[name].total())
-        for name in OOM_COUNTERS
-        if name in reg
-    }
-
-
-def verify_oom(seed: int, plan: FaultPlan, result) -> list[str]:
-    problems = []
-    for app_id in result.consumer_ids:
-        if not result.schedules.get(app_id):
-            problems.append(f"consumer {app_id} has no schedules")
-    space = result.space
-    # Durability under pressure: eviction and spill must never drop the
-    # last copy of an acknowledged object (spilled copies count as alive).
-    lost = space.lost_objects()
-    if lost:
-        problems.append(f"acknowledged objects lost every copy: {lost}")
-    # Backpressure must always resolve within its retry budget in this
-    # configuration — an escalation here means the ladder wedged.
-    reg = result.registry
-    if "workflow.memory.escalations" in reg:
-        n = int(reg["workflow.memory.escalations"].total())
-        if n:
-            problems.append(f"{n} backpressure escalation(s) to data loss")
-    # Spill/restore round-trips the bytes intact: every resident primary
-    # still verifies its content checksum.
-    for var, version, owner in space._produced_by:
-        store = space._stores.get(owner)
-        obj = store.get(var, version, of=owner) if store is not None else None
-        if obj is not None and not obj.verify_checksum():
-            problems.append(
-                f"primary copy of {(var, version, owner)} corrupt after "
-                f"spill/restore"
-            )
-    return problems
-
-
 #: gray-mode knobs (all armed so every subsystem soaks together)
-GRAY_HEDGE_FACTOR = 2.0
-GRAY_SPECULATION_THRESHOLD = 1.5
-GRAY_SCRUB_PERIOD = 0.1
+GRAY_KNOBS = dict(hedge_factor=2.0, speculation_threshold=1.5, scrub_period=0.1)
 
 #: gray counters compared across the seed-0 determinism re-run
 GRAY_COUNTERS = (
@@ -350,7 +298,6 @@ GRAY_COUNTERS = (
     "workflow.speculation.wins",
     "workflow.speculation.cancelled",
 )
-
 
 #: partition-mode quorum knobs (over the soak's k=2 replication)
 PARTITION_WRITE_QUORUM = 2
@@ -381,41 +328,45 @@ PARTITION_COUNTERS = (
 )
 
 
-def run_partition_seed(
-    seed: int, replication: int, tracer=None, registry=None
-):
-    scenario = soak_scenario()
-    plan, deadline = partition_plan_for_seed(seed, scenario.cluster)
-    result = run_scenario(
-        scenario,
-        fault_plan=plan,
-        tracer=tracer,
-        registry=registry,
-        resilience=ResilienceConfig(
-            replication=replication, partition_deadline=deadline
-        ),
-        producer_compute=PRODUCER_COMPUTE,
-        consumer_compute=CONSUMER_COMPUTE,
-        write_quorum=min(PARTITION_WRITE_QUORUM, replication),
-        read_quorum=min(PARTITION_READ_QUORUM, replication),
-    )
-    return plan, result
-
-
-def partition_counter_snapshot(result) -> dict[str, int]:
-    reg = result.registry
-    return {
-        name: int(reg[name].total())
-        for name in PARTITION_COUNTERS
-        if name in reg
-    }
-
-
-def verify_partition(seed: int, plan: FaultPlan, result) -> list[str]:
+def verify_crash(result, replication: int) -> list[str]:
     problems = []
-    for app_id in result.consumer_ids:
-        if not result.schedules.get(app_id):
-            problems.append(f"consumer {app_id} has no schedules")
+    space = result.space
+    lost = space.lost_objects()
+    if lost:
+        problems.append(f"objects lost every copy: {lost}")
+    # Replication factor restored for every surviving logical object.
+    copies: dict[tuple, int] = {}
+    for store in space._stores.values():
+        for obj in store.objects():
+            key = (obj.var, obj.version, obj.logical_owner)
+            copies[key] = copies.get(key, 0) + 1
+    for key in space._produced_by:
+        if copies.get(key, 0) != replication:
+            problems.append(
+                f"{key}: {copies.get(key, 0)} copies, want {replication}"
+            )
+    s = result.resilience
+    if s["detections_node"] != 1:
+        problems.append(f"crash not detected: {s}")
+    return problems
+
+
+def verify_gray(result, replication: int) -> list[str]:
+    problems = []
+    # The invariant: no corrupted value ever reached a consumer. A pull
+    # with every copy corrupt raises (failing the run); the counter covers
+    # the window where the exception was swallowed by a retry ladder.
+    n = int(result.registry.counter_total("integrity.unrecoverable"))
+    if n:
+        problems.append(f"{n} unrecoverable corrupted pull(s)")
+    # Corrupting REPLICATION writes may poison replicas (the scrubber's
+    # job); primaries are written locally and must always verify.
+    problems.extend(_corrupt_primaries(result.space, "at rest"))
+    return problems
+
+
+def verify_partition(result, replication: int) -> list[str]:
+    problems = []
     space = result.space
     # Acknowledged-write durability: an acked put (W reachable holders)
     # must survive the cut — losing every copy is a split-brain commit.
@@ -442,101 +393,257 @@ def verify_partition(seed: int, plan: FaultPlan, result) -> list[str]:
     return problems
 
 
-def run_gray_seed(seed: int, replication: int, tracer=None, registry=None):
-    scenario = soak_scenario()
-    plan = gray_plan_for_seed(seed, scenario.cluster)
-    result = run_scenario(
-        scenario,
-        fault_plan=plan,
-        tracer=tracer,
-        registry=registry,
-        resilience=ResilienceConfig(
-            replication=replication, scrub_period=GRAY_SCRUB_PERIOD
-        ),
-        producer_compute=PRODUCER_COMPUTE,
-        consumer_compute=CONSUMER_COMPUTE,
-        hedge_factor=GRAY_HEDGE_FACTOR,
-        speculation_threshold=GRAY_SPECULATION_THRESHOLD,
-    )
-    return plan, result
-
-
-def gray_counter_snapshot(result) -> dict[str, int]:
-    reg = result.registry
-    return {
-        name: int(reg[name].total())
-        for name in GRAY_COUNTERS
-        if name in reg
-    }
-
-
-def verify_gray(seed: int, plan: FaultPlan, result) -> list[str]:
+def verify_oom(result, replication: int) -> list[str]:
     problems = []
-    for app_id in result.consumer_ids:
-        if not result.schedules.get(app_id):
-            problems.append(f"consumer {app_id} has no schedules")
-    reg = result.registry
-    # The invariant: no corrupted value ever reached a consumer. A pull
-    # with every copy corrupt raises (failing the run); the counter covers
-    # the window where the exception was swallowed by a retry ladder.
-    if "integrity.unrecoverable" in reg:
-        n = int(reg["integrity.unrecoverable"].total())
-        if n:
-            problems.append(f"{n} unrecoverable corrupted pull(s)")
-    # Corrupting REPLICATION writes may poison replicas (the scrubber's
-    # job); primaries are written locally and must always verify.
-    space = result.space
+    # Durability under pressure: eviction and spill must never drop the
+    # last copy of an acknowledged object (spilled copies count as alive).
+    lost = result.space.lost_objects()
+    if lost:
+        problems.append(f"acknowledged objects lost every copy: {lost}")
+    # Backpressure must always resolve within its retry budget in this
+    # configuration — an escalation here means the ladder wedged.
+    n = int(result.registry.counter_total("workflow.memory.escalations"))
+    if n:
+        problems.append(f"{n} backpressure escalation(s) to data loss")
+    # Spill/restore round-trips the bytes intact: every resident primary
+    # still verifies its content checksum.
+    problems.extend(_corrupt_primaries(result.space, "after spill/restore"))
+    return problems
+
+
+def _corrupt_primaries(space, when: str) -> list[str]:
+    problems = []
     for var, version, owner in space._produced_by:
         store = space._stores.get(owner)
         obj = store.get(var, version, of=owner) if store is not None else None
         if obj is not None and not obj.verify_checksum():
             problems.append(
-                f"primary copy of {(var, version, owner)} corrupt at rest"
+                f"primary copy of {(var, version, owner)} corrupt {when}"
             )
     return problems
 
 
-def run_seed(seed: int, replication: int, tracer=None, registry=None):
-    scenario = soak_scenario()
-    plan = plan_for_seed(seed, scenario.cluster)
+@dataclass(frozen=True)
+class Mode:
+    """One fault class of the soak, declared once."""
+
+    name: str
+    #: (seed, cluster, replication) -> the class's plan and the
+    #: run_scenario / ResilienceConfig knobs it arms
+    draw: Callable[[int, Cluster, int], "tuple[FaultPlan, dict[str, Any]]"]
+    #: registry counters tallied per seed and compared on the seed-0 re-run
+    counters: tuple[str, ...]
+    #: (result, replication) -> invariant violations
+    verify: Callable[[Any, int], list[str]]
+    #: (plan, result, failed) -> the seed's tag in its ok / failure line
+    describe: Callable[[FaultPlan, Any, bool], str]
+    #: totals -> the class's clause of the final summary line
+    summary: Callable[[dict], str]
+    #: most nodes one plan of the class takes out of service
+    removes: int
+
+
+def _describe_crash(plan: FaultPlan, result, failed: bool) -> str:
+    crash = plan.node_crashes[0]
+    tag = f"node {crash.node} @ {crash.time}"
+    return tag if failed else f"{tag}, {result.resilience}"
+
+
+def _describe_partition(plan: FaultPlan, result, failed: bool) -> str:
+    part = plan.partitions[0]
+    tag = f"cut {part.groups[1]} @ {part.start}"
+    return f"{tag} for {part.duration}" if failed else tag
+
+
+def _draw_partition(seed: int, cluster, replication: int):
+    plan, deadline = partition_plan_for_seed(seed, cluster)
+    return plan, dict(
+        partition_deadline=deadline,
+        write_quorum=min(PARTITION_WRITE_QUORUM, replication),
+        read_quorum=min(PARTITION_READ_QUORUM, replication),
+    )
+
+
+#: every fault class, in the order a composed seed draws, verifies and
+#: reports them
+MODES = (
+    Mode(
+        name="crash",
+        draw=lambda seed, cluster, k: (plan_for_seed(seed, cluster), {}),
+        counters=(),
+        verify=verify_crash,
+        describe=_describe_crash,
+        summary=lambda t: (
+            f"{t['failover_reads']} failover reads, {t['rereplication_copies']}"
+            f" copies re-replicated, {t['reenactments']} re-enactments, "
+            f"{t['detections_dht']} DHT detections"
+        ),
+        removes=1,
+    ),
+    Mode(
+        name="gray",
+        draw=lambda seed, cluster, k: (
+            gray_plan_for_seed(seed, cluster), GRAY_KNOBS
+        ),
+        counters=GRAY_COUNTERS,
+        verify=verify_gray,
+        describe=lambda plan, result, failed: "",
+        summary=lambda t: (
+            f"{t['integrity.refetches']} integrity re-fetches, "
+            f"{t['integrity.duplicates_dropped']} duplicates dropped, "
+            f"{t['hedge.issued']}/{t['hedge.wins']} hedges issued/won, "
+            f"{t['workflow.speculation.launched']}/"
+            f"{t['workflow.speculation.wins']} speculations launched/won, "
+            f"{t['integrity.scrub.repaired']} replicas scrubbed clean"
+        ),
+        removes=0,
+    ),
+    Mode(
+        name="partition",
+        draw=_draw_partition,
+        counters=PARTITION_COUNTERS,
+        verify=verify_partition,
+        describe=_describe_partition,
+        summary=lambda t: (
+            f"{t['transport.partitioned_transfers']} stalled transfers, "
+            f"{t['workflow.partition.retries']}+{t['workflow.quorum.retries']}"
+            f" partition/quorum retries, "
+            f"{t['resilience.partition.waited_out']} waited out, "
+            f"{t['resilience.partition.deadline_exceeded']} deadline "
+            f"escalations, {t['partition.fenced_writes']} fenced writes, "
+            f"{t['partition.reconciled']} copies reconciled"
+        ),
+        # A deadline escalation fences the minority island: 1-2 nodes.
+        removes=2,
+    ),
+    Mode(
+        name="oom",
+        draw=lambda seed, cluster, k: (oom_plan_for_seed(seed, cluster), dict(
+            enforce_memory=True, memory_per_node=OOM_MEMORY_PER_NODE,
+        )),
+        counters=OOM_COUNTERS,
+        verify=verify_oom,
+        describe=lambda plan, result, failed: ", ".join(
+            f"node {w.node} x{w.factor} @ {w.start}"
+            for w in plan.memory_pressure if failed
+        ),
+        summary=lambda t: (
+            f"{t['mem.watermark']} watermark hits, {t['mem.stalls']} stalls, "
+            f"{t['workflow.memory.retries']} backpressure retries, "
+            f"{t['mem.gc']} GCs, {t['mem.evicted_replicas']} replicas "
+            f"evicted, {t['mem.spills']}/{t['mem.restores']} spills/restores"
+        ),
+        removes=0,
+    ),
+)
+
+_RESILIENCE_KNOBS = frozenset(f.name for f in fields(ResilienceConfig))
+
+
+def run_modes(modes, seed: int, replication: int, tracer=None,
+              registry=None):
+    """One seed: the union of the classes' plans and knobs, run once on a
+    cluster with spares for every drawn class's removals (at least 2)."""
+    scenario = soak_scenario(max(SPARE_NODES, sum(m.removes for m in modes)))
+    draws = [m.draw(seed, scenario.cluster, replication) for m in modes]
+    plan = reduce(FaultPlan.merged, (p for p, _ in draws))
+    knobs = {k: v for _, armed in draws for k, v in armed.items()}
+    resilience = {k: knobs.pop(k) for k in list(knobs)
+                  if k in _RESILIENCE_KNOBS}
     result = run_scenario(
         scenario,
         fault_plan=plan,
         tracer=tracer,
         registry=registry,
-        resilience=ResilienceConfig(replication=replication),
+        resilience=ResilienceConfig(replication=replication, **resilience),
         producer_compute=PRODUCER_COMPUTE,
         consumer_compute=CONSUMER_COMPUTE,
+        **knobs,
     )
     return plan, result
 
 
-def verify(seed: int, plan: FaultPlan, result, replication: int) -> list[str]:
-    problems = []
-    # Every consumer performed its gets (a failed get raises earlier, but
-    # double-check the schedules actually landed).
-    for app_id in result.consumer_ids:
-        if not result.schedules.get(app_id):
-            problems.append(f"consumer {app_id} has no schedules")
-    space = result.space
-    lost = space.lost_objects()
-    if lost:
-        problems.append(f"objects lost every copy: {lost}")
-    # Replication factor restored for every surviving logical object.
-    copies: dict[tuple, int] = {}
-    for store in space._stores.values():
-        for obj in store.objects():
-            key = (obj.var, obj.version, obj.logical_owner)
-            copies[key] = copies.get(key, 0) + 1
-    for key in space._produced_by:
-        if copies.get(key, 0) != replication:
-            problems.append(
-                f"{key}: {copies.get(key, 0)} copies, want {replication}"
-            )
-    s = result.resilience
-    if s["detections_node"] != 1:
-        problems.append(f"crash not detected: {s}")
-    return problems
+def counter_snapshot(result, names) -> dict[str, int]:
+    """The named counters the run registered (absent ones are omitted)."""
+    reg = result.registry
+    return {name: int(reg.counter_total(name)) for name in names if name in reg}
+
+
+def soak(modes, seeds: int, replication: int, verbose: bool = False) -> int:
+    """Run ``seeds`` composed seeds of ``modes``; returns the exit status."""
+    counters = tuple(dict.fromkeys(n for m in modes for n in m.counters))
+    failures = 0
+    totals: Counter[str] = Counter()
+    for seed in range(seeds):
+        tracer = registry = None
+        if seed == 0:
+            tracer, registry = Tracer(), MetricsRegistry()
+        try:
+            plan, result = run_modes(modes, seed, replication, tracer, registry)
+        except Exception as exc:  # noqa: BLE001 — any failure fails the seed
+            ops = "PUT/GET" if any(m.name == "oom" for m in modes) else "GET"
+            print(f"seed {seed}: FAILED {ops} / run error: {exc}")
+            failures += 1
+            continue
+        # Every consumer performed its gets (a failed get raises earlier),
+        # then the union of the drawn classes' invariants.
+        problems = [
+            f"consumer {app_id} has no schedules"
+            for app_id in result.consumer_ids
+            if not result.schedules.get(app_id)
+        ]
+        for mode in modes:
+            problems.extend(mode.verify(result, replication))
+        snap = counter_snapshot(result, counters)
+        for key, val in [*result.resilience.items(), *snap.items()]:
+            if isinstance(val, (int, float)):
+                totals[key] += val
+        tags = [t for t in (m.describe(plan, result, bool(problems))
+                            for m in modes) if t]
+        if problems:
+            failures += 1
+            where = f" ({'; '.join(tags)})" if tags else ""
+            print(f"seed {seed}{where}: " + "; ".join(problems))
+        elif verbose:
+            shown = ", ".join(tags + [str(snap)] * bool(counters))
+            print(f"seed {seed}: ok ({shown})")
+        if seed != 0:
+            continue
+        prefix = ""
+        if counters:
+            # Determinism: the same seed re-run must reproduce every
+            # counter exactly (stalls, retries, hedges, spills, heals...).
+            _, again = run_modes(modes, seed, replication)
+            snap2 = counter_snapshot(again, counters)
+            if snap != snap2:
+                failures += 1
+                print(f"seed 0: NON-DETERMINISTIC counters:\n"
+                      f"  first:  {snap}\n  second: {snap2}")
+            prefix = "deterministic, "
+        with tempfile.TemporaryDirectory() as tmp:
+            tpath = os.path.join(tmp, "trace.json")
+            mpath = os.path.join(tmp, "metrics.json")
+            tracer.write_chrome(tpath)
+            registry.write_json(mpath)
+            try:
+                nevents = check_trace(tpath)
+                ncells = check_metrics(mpath)
+            except Exception as exc:  # noqa: BLE001
+                print(f"seed 0: trace/metrics validation failed: {exc}")
+                failures += 1
+            else:
+                print(f"seed 0: {prefix}trace balanced ({nevents} events), "
+                      f"metrics well-formed ({ncells} cells)")
+
+    title = "+".join(m.name for m in modes) if len(modes) > 1 else (
+        "chaos" if modes[0].name == "crash" else modes[0].name
+    )
+    print(f"\n{title} soak: {seeds - failures}/{seeds} seeds clean; "
+          + "; ".join(m.summary(totals) for m in modes))
+    if failures:
+        print(f"{title} soak FAILED: {failures} seed(s) violated invariants")
+        return 1
+    return 0
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -544,284 +651,24 @@ def main(argv: "list[str] | None" = None) -> int:
     ap.add_argument("--seeds", type=int, default=200,
                     help="number of seeded fault plans to run (default 200)")
     ap.add_argument("--replication", type=int, default=2)
+    ap.add_argument("--crash", action="store_true",
+                    help="soak crash-stop faults (a node crash, sometimes "
+                         "plus a DHT-core failure); the default class")
     ap.add_argument("--gray", action="store_true",
                     help="soak gray failures (slow node + corruption + "
-                         "duplication) instead of crash-stop faults")
+                         "duplication)")
     ap.add_argument("--partition", action="store_true",
                     help="soak network partitions (two-island cuts with "
-                         "quorum writes/reads) instead of crash-stop faults")
+                         "quorum writes/reads)")
     ap.add_argument("--oom", action="store_true",
                     help="soak memory pressure (capacity-shrink windows "
-                         "over a ~2-objects-per-core budget) instead of "
-                         "crash-stop faults")
+                         "over a ~2-objects-per-core budget)")
     ap.add_argument("--verbose", action="store_true")
     args = ap.parse_args(argv)
 
-    if sum((args.gray, args.partition, args.oom)) > 1:
-        ap.error("--gray, --partition, and --oom are mutually exclusive")
-    if args.gray:
-        return _gray_main(args)
-    if args.partition:
-        return _partition_main(args)
-    if args.oom:
-        return _oom_main(args)
-
-    failures = 0
-    totals = {"failover_reads": 0, "rereplication_copies": 0,
-              "reenactments": 0, "detections_dht": 0}
-    for seed in range(args.seeds):
-        tracer = registry = None
-        if seed == 0:
-            tracer, registry = Tracer(), MetricsRegistry()
-        try:
-            plan, result = run_seed(seed, args.replication, tracer, registry)
-        except Exception as exc:  # noqa: BLE001 — any failure fails the seed
-            print(f"seed {seed}: FAILED GET / run error: {exc}")
-            failures += 1
-            continue
-        problems = verify(seed, plan, result, args.replication)
-        for key in totals:
-            totals[key] += result.resilience.get(key, 0)
-        if problems:
-            failures += 1
-            crash = plan.node_crashes[0]
-            print(f"seed {seed} (node {crash.node} @ {crash.time}): "
-                  + "; ".join(problems))
-        elif args.verbose:
-            crash = plan.node_crashes[0]
-            print(f"seed {seed}: ok (node {crash.node} @ {crash.time}, "
-                  f"{result.resilience})")
-        if seed == 0:
-            with tempfile.TemporaryDirectory() as tmp:
-                tpath = os.path.join(tmp, "trace.json")
-                mpath = os.path.join(tmp, "metrics.json")
-                tracer.write_chrome(tpath)
-                registry.write_json(mpath)
-                try:
-                    nevents = check_trace(tpath)
-                    ncells = check_metrics(mpath)
-                except Exception as exc:  # noqa: BLE001
-                    print(f"seed 0: trace/metrics validation failed: {exc}")
-                    failures += 1
-                else:
-                    print(f"seed 0: trace balanced ({nevents} events), "
-                          f"metrics well-formed ({ncells} cells)")
-
-    print(f"\nchaos soak: {args.seeds - failures}/{args.seeds} seeds clean; "
-          f"{totals['failover_reads']} failover reads, "
-          f"{totals['rereplication_copies']} copies re-replicated, "
-          f"{totals['reenactments']} re-enactments, "
-          f"{totals['detections_dht']} DHT detections")
-    if failures:
-        print(f"chaos soak FAILED: {failures} seed(s) violated invariants")
-        return 1
-    return 0
-
-
-def _partition_main(args: argparse.Namespace) -> int:
-    failures = 0
-    totals: dict[str, int] = {}
-    for seed in range(args.seeds):
-        tracer = registry = None
-        if seed == 0:
-            tracer, registry = Tracer(), MetricsRegistry()
-        try:
-            plan, result = run_partition_seed(
-                seed, args.replication, tracer, registry
-            )
-        except Exception as exc:  # noqa: BLE001 — any failure fails the seed
-            print(f"seed {seed}: FAILED GET / run error: {exc}")
-            failures += 1
-            continue
-        problems = verify_partition(seed, plan, result)
-        snap = partition_counter_snapshot(result)
-        for key, val in snap.items():
-            totals[key] = totals.get(key, 0) + val
-        if problems:
-            failures += 1
-            part = plan.partitions[0]
-            print(f"seed {seed} (cut {part.groups[1]} @ {part.start} "
-                  f"for {part.duration}): " + "; ".join(problems))
-        elif args.verbose:
-            part = plan.partitions[0]
-            print(f"seed {seed}: ok (cut {part.groups[1]} @ {part.start}, "
-                  f"{snap})")
-        if seed == 0:
-            # Determinism: the same seed re-run must reproduce every
-            # partition counter exactly (stalls, retries, fences, heals...).
-            _, again = run_partition_seed(seed, args.replication)
-            snap2 = partition_counter_snapshot(again)
-            if snap != snap2:
-                failures += 1
-                print(f"seed 0: NON-DETERMINISTIC partition counters:\n"
-                      f"  first:  {snap}\n  second: {snap2}")
-            with tempfile.TemporaryDirectory() as tmp:
-                tpath = os.path.join(tmp, "trace.json")
-                mpath = os.path.join(tmp, "metrics.json")
-                tracer.write_chrome(tpath)
-                registry.write_json(mpath)
-                try:
-                    nevents = check_trace(tpath)
-                    ncells = check_metrics(mpath)
-                except Exception as exc:  # noqa: BLE001
-                    print(f"seed 0: trace/metrics validation failed: {exc}")
-                    failures += 1
-                else:
-                    print(f"seed 0: deterministic, trace balanced "
-                          f"({nevents} events), metrics well-formed "
-                          f"({ncells} cells)")
-
-    print(f"\npartition soak: {args.seeds - failures}/{args.seeds} seeds "
-          f"clean; "
-          f"{totals.get('transport.partitioned_transfers', 0)} stalled "
-          f"transfers, "
-          f"{totals.get('workflow.partition.retries', 0)}"
-          f"+{totals.get('workflow.quorum.retries', 0)} partition/quorum "
-          f"retries, "
-          f"{totals.get('resilience.partition.waited_out', 0)} waited out, "
-          f"{totals.get('resilience.partition.deadline_exceeded', 0)} "
-          f"deadline escalations, "
-          f"{totals.get('partition.fenced_writes', 0)} fenced writes, "
-          f"{totals.get('partition.reconciled', 0)} copies reconciled")
-    if failures:
-        print(f"partition soak FAILED: {failures} seed(s) violated "
-              f"invariants")
-        return 1
-    return 0
-
-
-def _oom_main(args: argparse.Namespace) -> int:
-    failures = 0
-    totals: dict[str, int] = {}
-    for seed in range(args.seeds):
-        tracer = registry = None
-        if seed == 0:
-            tracer, registry = Tracer(), MetricsRegistry()
-        try:
-            plan, result = run_oom_seed(
-                seed, args.replication, tracer, registry
-            )
-        except Exception as exc:  # noqa: BLE001 — any failure fails the seed
-            print(f"seed {seed}: FAILED PUT/GET / run error: {exc}")
-            failures += 1
-            continue
-        problems = verify_oom(seed, plan, result)
-        snap = oom_counter_snapshot(result)
-        for key, val in snap.items():
-            totals[key] = totals.get(key, 0) + val
-        if problems:
-            failures += 1
-            windows = ", ".join(
-                f"node {w.node} x{w.factor} @ {w.start}"
-                for w in plan.memory_pressure
-            )
-            print(f"seed {seed} ({windows}): " + "; ".join(problems))
-        elif args.verbose:
-            print(f"seed {seed}: ok ({snap})")
-        if seed == 0:
-            # Determinism: the same seed re-run must reproduce every memory
-            # counter exactly (stalls, evictions, spills, restores, ...).
-            _, again = run_oom_seed(seed, args.replication)
-            snap2 = oom_counter_snapshot(again)
-            if snap != snap2:
-                failures += 1
-                print(f"seed 0: NON-DETERMINISTIC memory counters:\n"
-                      f"  first:  {snap}\n  second: {snap2}")
-            with tempfile.TemporaryDirectory() as tmp:
-                tpath = os.path.join(tmp, "trace.json")
-                mpath = os.path.join(tmp, "metrics.json")
-                tracer.write_chrome(tpath)
-                registry.write_json(mpath)
-                try:
-                    nevents = check_trace(tpath)
-                    ncells = check_metrics(mpath)
-                except Exception as exc:  # noqa: BLE001
-                    print(f"seed 0: trace/metrics validation failed: {exc}")
-                    failures += 1
-                else:
-                    print(f"seed 0: deterministic, trace balanced "
-                          f"({nevents} events), metrics well-formed "
-                          f"({ncells} cells)")
-
-    print(f"\noom soak: {args.seeds - failures}/{args.seeds} seeds clean; "
-          f"{totals.get('mem.watermark', 0)} watermark hits, "
-          f"{totals.get('mem.stalls', 0)} stalls, "
-          f"{totals.get('workflow.memory.retries', 0)} backpressure "
-          f"retries, "
-          f"{totals.get('mem.gc', 0)} GCs, "
-          f"{totals.get('mem.evicted_replicas', 0)} replicas evicted, "
-          f"{totals.get('mem.spills', 0)}/{totals.get('mem.restores', 0)} "
-          f"spills/restores")
-    if failures:
-        print(f"oom soak FAILED: {failures} seed(s) violated invariants")
-        return 1
-    return 0
-
-
-def _gray_main(args: argparse.Namespace) -> int:
-    failures = 0
-    totals: dict[str, int] = {}
-    for seed in range(args.seeds):
-        tracer = registry = None
-        if seed == 0:
-            tracer, registry = Tracer(), MetricsRegistry()
-        try:
-            plan, result = run_gray_seed(
-                seed, args.replication, tracer, registry
-            )
-        except Exception as exc:  # noqa: BLE001 — any failure fails the seed
-            print(f"seed {seed}: FAILED GET / run error: {exc}")
-            failures += 1
-            continue
-        problems = verify_gray(seed, plan, result)
-        snap = gray_counter_snapshot(result)
-        for key, val in snap.items():
-            totals[key] = totals.get(key, 0) + val
-        if problems:
-            failures += 1
-            print(f"seed {seed}: " + "; ".join(problems))
-        elif args.verbose:
-            print(f"seed {seed}: ok ({snap})")
-        if seed == 0:
-            # Determinism: the same seed re-run must reproduce every gray
-            # counter exactly (hedges, speculations, scrub repairs, ...).
-            _, again = run_gray_seed(seed, args.replication)
-            snap2 = gray_counter_snapshot(again)
-            if snap != snap2:
-                failures += 1
-                print(f"seed 0: NON-DETERMINISTIC gray counters:\n"
-                      f"  first:  {snap}\n  second: {snap2}")
-            with tempfile.TemporaryDirectory() as tmp:
-                tpath = os.path.join(tmp, "trace.json")
-                mpath = os.path.join(tmp, "metrics.json")
-                tracer.write_chrome(tpath)
-                registry.write_json(mpath)
-                try:
-                    nevents = check_trace(tpath)
-                    ncells = check_metrics(mpath)
-                except Exception as exc:  # noqa: BLE001
-                    print(f"seed 0: trace/metrics validation failed: {exc}")
-                    failures += 1
-                else:
-                    print(f"seed 0: deterministic, trace balanced "
-                          f"({nevents} events), metrics well-formed "
-                          f"({ncells} cells)")
-
-    print(f"\ngray soak: {args.seeds - failures}/{args.seeds} seeds clean; "
-          f"{totals.get('integrity.refetches', 0)} integrity re-fetches, "
-          f"{totals.get('integrity.duplicates_dropped', 0)} duplicates "
-          f"dropped, "
-          f"{totals.get('hedge.issued', 0)}/{totals.get('hedge.wins', 0)} "
-          f"hedges issued/won, "
-          f"{totals.get('workflow.speculation.launched', 0)}"
-          f"/{totals.get('workflow.speculation.wins', 0)} "
-          f"speculations launched/won, "
-          f"{totals.get('integrity.scrub.repaired', 0)} replicas scrubbed "
-          f"clean")
-    if failures:
-        print(f"gray soak FAILED: {failures} seed(s) violated invariants")
-        return 1
-    return 0
+    modes = tuple(m for m in MODES if getattr(args, m.name))
+    return soak(modes or MODES[:1], args.seeds, args.replication,
+                args.verbose)
 
 
 if __name__ == "__main__":

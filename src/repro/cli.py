@@ -11,7 +11,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -566,32 +565,24 @@ def _build(scenario_name: str, scale: str, dist: str):
 def _load_fault_plan(args: argparse.Namespace) -> "FaultPlan | None":
     path = getattr(args, "fault_plan", None)
     plan = FaultPlan.load(path) if path else None
-    slow = tuple(getattr(args, "slow_node", None) or ())
     corruption = getattr(args, "corruption", None)
     duplication = getattr(args, "duplication", None)
-    partitions = tuple(getattr(args, "partition", None) or ())
-    pressure = tuple(getattr(args, "memory_pressure", None) or ())
-    if (not slow and corruption is None and duplication is None
-            and not partitions and not pressure):
-        return plan
-    if plan is None:
-        plan = FaultPlan()
     # Flag-injected faults stack on top of whatever the JSON plan
     # declares; the probabilities become wildcard (any-link) faults.
-    return dataclasses.replace(
-        plan,
-        slow_nodes=plan.slow_nodes + slow,
-        corruptions=plan.corruptions + (
-            (DataCorruption(probability=corruption),)
-            if corruption else ()
+    flags = FaultPlan(
+        slow_nodes=getattr(args, "slow_node", None) or (),
+        corruptions=(
+            (DataCorruption(probability=corruption),) if corruption else ()
         ),
-        duplications=plan.duplications + (
-            (DuplicateDelivery(probability=duplication),)
-            if duplication else ()
+        duplications=(
+            (DuplicateDelivery(probability=duplication),) if duplication else ()
         ),
-        partitions=plan.partitions + partitions,
-        memory_pressure=plan.memory_pressure + pressure,
+        partitions=getattr(args, "partition", None) or (),
+        memory_pressure=getattr(args, "memory_pressure", None) or (),
     )
+    if flags.is_empty and corruption is None and duplication is None:
+        return plan
+    return (plan or FaultPlan()).merged(flags)
 
 
 def _print_fault_summary(result) -> None:
@@ -655,9 +646,7 @@ def _print_gray_summary(result) -> None:
     if injector is None or reg is None or not injector.plan.has_gray_faults:
         return
 
-    def count(name: str) -> int:
-        # Read-only: never registers absent (lazy) gray instruments.
-        return int(reg[name].total()) if name in reg else 0
+    count = reg.counter_total
 
     print()
     print("gray failures: "
@@ -679,9 +668,7 @@ def _print_partition_summary(result) -> None:
     if injector is None or reg is None or not injector.plan.has_partitions:
         return
 
-    def count(name: str) -> int:
-        # Read-only: never registers absent (lazy) partition instruments.
-        return int(reg[name].total()) if name in reg else 0
+    count = reg.counter_total
 
     print()
     print("network partitions: "
@@ -710,9 +697,7 @@ def _print_memory_summary(result) -> None:
     if not getattr(space, "enforce_memory", False):
         return
 
-    def count(name: str) -> int:
-        # Read-only: never registers absent (lazy) memory instruments.
-        return int(reg[name].total()) if name in reg else 0
+    count = reg.counter_total
 
     print()
     print("memory pressure: "
@@ -784,6 +769,14 @@ def _print_provenance_summary(result) -> None:
         print(f"  {kind:<26} {count}")
 
 
+#: arguments naming where observation artifacts are written: they change
+#: no computed value, so the run registry's config hash leaves them out
+#: (--checkpoint-out stays in: it arms the resilience manager)
+_ARTIFACT_ARGS = frozenset({
+    "trace_out", "metrics_out", "timeline_out", "provenance_out", "runs_db",
+})
+
+
 def _record_run(args: argparse.Namespace, result, tracer) -> None:
     """Append the run to the --runs-db registry, if one was requested."""
     db_path = getattr(args, "runs_db", None)
@@ -791,10 +784,16 @@ def _record_run(args: argparse.Namespace, result, tracer) -> None:
         return
     from repro.analysis.runs import RunRegistry
 
+    # The config is what the run computes: every scalar argument except
+    # where artifacts land, with the --fault-plan path replaced by the
+    # effective plan (which also carries the list-valued fault flags).
     config = {
         k: v for k, v in sorted(vars(args).items())
         if isinstance(v, (str, int, float, bool, type(None)))
+        and k not in _ARTIFACT_ARGS
     }
+    injector = result.injector
+    config["fault_plan"] = injector.plan.to_dict() if injector else None
     m = result.metrics
     metrics = {
         "sim.events": float(result.sim_events),

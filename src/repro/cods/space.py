@@ -963,6 +963,13 @@ class CoDS:
             self.dht.unregister(var, version, core)
             self._drop_replicas(var, version, core)
             self._spilled.discard((var, version, core))
+        elif (var, version, core) in self._replicas:
+            # Re-put of a primary that is gone while its replicas are still
+            # bookkept (GC'd mid re-replication, or lost before its crash
+            # was detected): retire them before the fresh primary
+            # re-replicates onto the same deterministic targets.
+            self.dht.unregister(var, version, core)
+            self._drop_replicas(var, version, core)
         if self.enforce_memory:
             self._admit(store, obj)
         else:

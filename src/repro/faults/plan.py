@@ -45,7 +45,9 @@ Plans round-trip through JSON for the CLI's ``--fault-plan`` flag.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from functools import cache, partial
+from typing import Any, Callable, get_args, get_origin, get_type_hints
 
 from repro.errors import FaultPlanError, RetryPolicy
 
@@ -62,6 +64,11 @@ __all__ = [
 ]
 
 
+def _non_negative(name: str, value: float) -> None:
+    if value < 0:
+        raise FaultPlanError(f"{name} must be non-negative, got {value}")
+
+
 @dataclass(frozen=True)
 class NodeCrash:
     """Compute node ``node`` crashes at simulated time ``time``."""
@@ -70,10 +77,8 @@ class NodeCrash:
     time: float
 
     def __post_init__(self) -> None:
-        if self.node < 0:
-            raise FaultPlanError(f"node must be non-negative, got {self.node}")
-        if self.time < 0:
-            raise FaultPlanError(f"crash time must be non-negative, got {self.time}")
+        _non_negative("node", self.node)
+        _non_negative("crash time", self.time)
 
 
 @dataclass(frozen=True)
@@ -84,10 +89,8 @@ class DHTCoreFailure:
     time: float
 
     def __post_init__(self) -> None:
-        if self.core < 0:
-            raise FaultPlanError(f"core must be non-negative, got {self.core}")
-        if self.time < 0:
-            raise FaultPlanError(f"failure time must be non-negative, got {self.time}")
+        _non_negative("core", self.core)
+        _non_negative("failure time", self.time)
 
 
 @dataclass(frozen=True)
@@ -119,7 +122,35 @@ class LinkDegradation:
 
 
 @dataclass(frozen=True)
-class SlowNode:
+class _NodeWindow:
+    """Shared shape of per-node degradations over ``[start, start+duration)``.
+
+    Subclasses add a ``factor`` field and name themselves in ``_label`` so
+    validation errors say which kind of window was malformed.
+    """
+
+    node: int
+    start: float
+    duration: float
+
+    def __post_init__(self) -> None:
+        _non_negative("node", self.node)
+        _non_negative(f"{self._label} start", self.start)
+        if self.duration <= 0:
+            raise FaultPlanError(
+                f"{self._label} duration must be positive, got {self.duration}"
+            )
+
+    @property
+    def end(self) -> float:
+        return self.start + self.duration
+
+    def active_at(self, time: float) -> bool:
+        return self.start <= time < self.end
+
+
+@dataclass(frozen=True)
+class SlowNode(_NodeWindow):
     """Node ``node`` runs ``factor`` times slower during a time window.
 
     The slowdown is multiplicative on compute *and* service: work executed
@@ -129,33 +160,16 @@ class SlowNode:
     hedging and speculation machinery).
     """
 
-    node: int
-    start: float
-    duration: float
     factor: float = 2.0
 
+    _label = "slowdown"
+
     def __post_init__(self) -> None:
-        if self.node < 0:
-            raise FaultPlanError(f"node must be non-negative, got {self.node}")
-        if self.start < 0:
-            raise FaultPlanError(
-                f"slowdown start must be non-negative, got {self.start}"
-            )
-        if self.duration <= 0:
-            raise FaultPlanError(
-                f"slowdown duration must be positive, got {self.duration}"
-            )
+        super().__post_init__()
         if self.factor <= 1.0:
             raise FaultPlanError(
                 f"slowdown factor must be > 1, got {self.factor}"
             )
-
-    @property
-    def end(self) -> float:
-        return self.start + self.duration
-
-    def active_at(self, time: float) -> bool:
-        return self.start <= time < self.end
 
 
 @dataclass(frozen=True)
@@ -173,9 +187,8 @@ class _LinkFault:
 
     def __post_init__(self) -> None:
         for name in ("src_node", "dst_node"):
-            v = getattr(self, name)
-            if v is not None and v < 0:
-                raise FaultPlanError(f"{name} must be non-negative, got {v}")
+            if getattr(self, name) is not None:
+                _non_negative(name, getattr(self, name))
         if not 0.0 <= self.probability < 1.0:
             raise FaultPlanError(
                 f"probability must be in [0, 1), got {self.probability}"
@@ -232,10 +245,7 @@ class NetworkPartition:
     flap_period: "float | None" = None
 
     def __post_init__(self) -> None:
-        if self.start < 0:
-            raise FaultPlanError(
-                f"partition start must be non-negative, got {self.start}"
-            )
+        _non_negative("partition start", self.start)
         if self.duration <= 0:
             raise FaultPlanError(
                 f"partition duration must be positive, got {self.duration}"
@@ -253,10 +263,7 @@ class NetworkPartition:
             if not g:
                 raise FaultPlanError("partition groups must be non-empty")
             for n in g:
-                if n < 0:
-                    raise FaultPlanError(
-                        f"group node must be non-negative, got {n}"
-                    )
+                _non_negative("group node", n)
                 if n in seen:
                     raise FaultPlanError(
                         f"node {n} appears in more than one partition group"
@@ -339,7 +346,7 @@ class NetworkPartition:
 
 
 @dataclass(frozen=True)
-class MemoryPressure:
+class MemoryPressure(_NodeWindow):
     """Node ``node``'s usable store memory shrinks during a time window.
 
     While ``[start, start + duration)`` is active, the per-core object
@@ -351,48 +358,45 @@ class MemoryPressure:
     of crashing.
     """
 
-    node: int
-    start: float
-    duration: float
     factor: float = 0.5
 
+    _label = "pressure"
+
     def __post_init__(self) -> None:
-        if self.node < 0:
-            raise FaultPlanError(f"node must be non-negative, got {self.node}")
-        if self.start < 0:
-            raise FaultPlanError(
-                f"pressure start must be non-negative, got {self.start}"
-            )
-        if self.duration <= 0:
-            raise FaultPlanError(
-                f"pressure duration must be positive, got {self.duration}"
-            )
+        super().__post_init__()
         if not 0.0 < self.factor < 1.0:
             raise FaultPlanError(
                 f"pressure factor must be in (0, 1), got {self.factor}"
             )
 
-    @property
-    def end(self) -> float:
-        return self.start + self.duration
 
-    def active_at(self, time: float) -> bool:
-        return self.start <= time < self.end
+#: metadata of fault classes added after the first plan format: their empty
+#: tuples are omitted from ``to_dict`` so older plan files keep their bytes
+_OMIT_EMPTY = "omit_empty"
+_later_class = partial(field, default=(), metadata={_OMIT_EMPTY: True})
+
+#: plan fields that tune how faults play out but inject nothing themselves
+_KNOBS = ("seed", "max_retries", "retry_timeout", "retry_backoff")
 
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A complete, seed-deterministic failure scenario."""
+    """A complete, seed-deterministic failure scenario.
+
+    Serialization, emptiness, tuple normalisation and merging are derived
+    from the dataclass fields: a new fault class is one frozen dataclass
+    plus one ``tuple[...]`` field here.
+    """
 
     seed: int = 0
     node_crashes: tuple[NodeCrash, ...] = ()
     dht_failures: tuple[DHTCoreFailure, ...] = ()
     link_degradations: tuple[LinkDegradation, ...] = ()
-    slow_nodes: tuple[SlowNode, ...] = ()
-    corruptions: tuple[DataCorruption, ...] = ()
-    duplications: tuple[DuplicateDelivery, ...] = ()
-    partitions: tuple[NetworkPartition, ...] = ()
-    memory_pressure: tuple[MemoryPressure, ...] = ()
+    slow_nodes: tuple[SlowNode, ...] = _later_class()
+    corruptions: tuple[DataCorruption, ...] = _later_class()
+    duplications: tuple[DuplicateDelivery, ...] = _later_class()
+    partitions: tuple[NetworkPartition, ...] = _later_class()
+    memory_pressure: tuple[MemoryPressure, ...] = _later_class()
     #: per-attempt probability any network transfer is dropped outright
     drop_probability: float = 0.0
     #: per-attempt probability a delivered transfer arrives corrupted
@@ -409,39 +413,34 @@ class FaultPlan:
             p = getattr(self, name)
             if not 0.0 <= p < 1.0:
                 raise FaultPlanError(f"{name} must be in [0, 1), got {p}")
-        if self.max_retries < 0:
-            raise FaultPlanError(
-                f"max_retries must be non-negative, got {self.max_retries}"
-            )
-        if self.retry_timeout < 0:
-            raise FaultPlanError(
-                f"retry_timeout must be non-negative, got {self.retry_timeout}"
-            )
+        _non_negative("max_retries", self.max_retries)
+        _non_negative("retry_timeout", self.retry_timeout)
         if self.retry_backoff < 1.0:
             raise FaultPlanError(
                 f"retry_backoff must be >= 1, got {self.retry_backoff}"
             )
         # Normalize list inputs to tuples so plans stay hashable/immutable.
-        for name in ("node_crashes", "dht_failures", "link_degradations",
-                     "slow_nodes", "corruptions", "duplications",
-                     "partitions", "memory_pressure"):
+        for name in _FAULT_FIELDS:
             object.__setattr__(self, name, tuple(getattr(self, name)))
 
     @property
     def is_empty(self) -> bool:
         """True when the plan injects nothing (framework runs untouched)."""
-        return (
-            not self.node_crashes
-            and not self.dht_failures
-            and not self.link_degradations
-            and not self.slow_nodes
-            and not self.corruptions
-            and not self.duplications
-            and not self.partitions
-            and not self.memory_pressure
-            and self.drop_probability == 0.0
-            and self.corrupt_probability == 0.0
+        return all(
+            getattr(self, f.name) == f.default
+            for f in fields(self) if f.name not in _KNOBS
         )
+
+    def merged(self, other: "FaultPlan") -> "FaultPlan":
+        """This plan plus ``other``'s faults.
+
+        Fault tuples concatenate (this plan's entries first); every scalar
+        — seed, global probabilities, retry knobs — stays this plan's.
+        """
+        return replace(self, **{
+            name: getattr(self, name) + getattr(other, name)
+            for name in _FAULT_FIELDS
+        })
 
     @property
     def has_gray_faults(self) -> bool:
@@ -476,13 +475,6 @@ class FaultPlan:
              if m.node == node and m.active_at(time)),
             default=1.0,
         )
-
-    def memory_windows(self, node: int) -> "tuple[MemoryPressure, ...]":
-        """The declared pressure windows of one node, in start order."""
-        return tuple(sorted(
-            (m for m in self.memory_pressure if m.node == node),
-            key=lambda m: (m.start, m.end, m.factor),
-        ))
 
     def node_pair_severed(self, src_node: int, dst_node: int,
                           time: float) -> bool:
@@ -570,186 +562,21 @@ class FaultPlan:
     # -- (de)serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        data = {
-            "seed": self.seed,
-            "node_crashes": [
-                {"node": c.node, "time": c.time} for c in self.node_crashes
-            ],
-            "dht_failures": [
-                {"core": f.core, "time": f.time} for f in self.dht_failures
-            ],
-            "link_degradations": [
-                {
-                    "src_node": d.src_node,
-                    "dst_node": d.dst_node,
-                    "loss_factor": d.loss_factor,
-                    "bandwidth_factor": d.bandwidth_factor,
-                }
-                for d in self.link_degradations
-            ],
-            "drop_probability": self.drop_probability,
-            "corrupt_probability": self.corrupt_probability,
-            "max_retries": self.max_retries,
-            "retry_timeout": self.retry_timeout,
-            "retry_backoff": self.retry_backoff,
+        return {
+            f.name: _plain(getattr(self, f.name))
+            for f in fields(self)
+            if getattr(self, f.name) or not f.metadata.get(_OMIT_EMPTY)
         }
-        # Gray-failure keys appear only when declared so pre-existing plan
-        # files keep serializing byte-identically.
-        if self.slow_nodes:
-            data["slow_nodes"] = [
-                {
-                    "node": s.node,
-                    "start": s.start,
-                    "duration": s.duration,
-                    "factor": s.factor,
-                }
-                for s in self.slow_nodes
-            ]
-        if self.corruptions:
-            data["corruptions"] = [
-                {
-                    "src_node": c.src_node,
-                    "dst_node": c.dst_node,
-                    "probability": c.probability,
-                }
-                for c in self.corruptions
-            ]
-        if self.duplications:
-            data["duplications"] = [
-                {
-                    "src_node": d.src_node,
-                    "dst_node": d.dst_node,
-                    "probability": d.probability,
-                }
-                for d in self.duplications
-            ]
-        if self.partitions:
-            data["partitions"] = [
-                {
-                    "start": p.start,
-                    "duration": p.duration,
-                    "groups": [list(g) for g in p.groups],
-                    "links": [list(link) for link in p.links],
-                    "symmetric": p.symmetric,
-                    "flap_period": p.flap_period,
-                }
-                for p in self.partitions
-            ]
-        if self.memory_pressure:
-            data["memory_pressure"] = [
-                {
-                    "node": m.node,
-                    "start": m.start,
-                    "duration": m.duration,
-                    "factor": m.factor,
-                }
-                for m in self.memory_pressure
-            ]
-        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
         if not isinstance(data, dict):
             raise FaultPlanError(f"fault plan must be an object, got {type(data)}")
-        known = {
-            "seed",
-            "node_crashes",
-            "dht_failures",
-            "link_degradations",
-            "slow_nodes",
-            "corruptions",
-            "duplications",
-            "partitions",
-            "memory_pressure",
-            "drop_probability",
-            "corrupt_probability",
-            "max_retries",
-            "retry_timeout",
-            "retry_backoff",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise FaultPlanError(f"unknown fault-plan keys: {sorted(unknown)}")
         try:
-            return cls(
-                seed=int(data.get("seed", 0)),
-                node_crashes=tuple(
-                    NodeCrash(node=int(c["node"]), time=float(c["time"]))
-                    for c in data.get("node_crashes", ())
-                ),
-                dht_failures=tuple(
-                    DHTCoreFailure(core=int(f["core"]), time=float(f["time"]))
-                    for f in data.get("dht_failures", ())
-                ),
-                link_degradations=tuple(
-                    LinkDegradation(
-                        src_node=int(d["src_node"]),
-                        dst_node=int(d["dst_node"]),
-                        loss_factor=float(d.get("loss_factor", 0.0)),
-                        bandwidth_factor=float(d.get("bandwidth_factor", 1.0)),
-                    )
-                    for d in data.get("link_degradations", ())
-                ),
-                slow_nodes=tuple(
-                    SlowNode(
-                        node=int(s["node"]),
-                        start=float(s["start"]),
-                        duration=float(s["duration"]),
-                        factor=float(s.get("factor", 2.0)),
-                    )
-                    for s in data.get("slow_nodes", ())
-                ),
-                corruptions=tuple(
-                    DataCorruption(
-                        src_node=None if c.get("src_node") is None else int(c["src_node"]),
-                        dst_node=None if c.get("dst_node") is None else int(c["dst_node"]),
-                        probability=float(c.get("probability", 0.0)),
-                    )
-                    for c in data.get("corruptions", ())
-                ),
-                duplications=tuple(
-                    DuplicateDelivery(
-                        src_node=None if d.get("src_node") is None else int(d["src_node"]),
-                        dst_node=None if d.get("dst_node") is None else int(d["dst_node"]),
-                        probability=float(d.get("probability", 0.0)),
-                    )
-                    for d in data.get("duplications", ())
-                ),
-                partitions=tuple(
-                    NetworkPartition(
-                        start=float(p["start"]),
-                        duration=float(p["duration"]),
-                        groups=tuple(
-                            tuple(int(n) for n in g)
-                            for g in p.get("groups", ())
-                        ),
-                        links=tuple(
-                            (int(a), int(b))
-                            for a, b in p.get("links", ())
-                        ),
-                        symmetric=bool(p.get("symmetric", True)),
-                        flap_period=(
-                            None if p.get("flap_period") is None
-                            else float(p["flap_period"])
-                        ),
-                    )
-                    for p in data.get("partitions", ())
-                ),
-                memory_pressure=tuple(
-                    MemoryPressure(
-                        node=int(m["node"]),
-                        start=float(m["start"]),
-                        duration=float(m["duration"]),
-                        factor=float(m.get("factor", 0.5)),
-                    )
-                    for m in data.get("memory_pressure", ())
-                ),
-                drop_probability=float(data.get("drop_probability", 0.0)),
-                corrupt_probability=float(data.get("corrupt_probability", 0.0)),
-                max_retries=int(data.get("max_retries", 3)),
-                retry_timeout=float(data.get("retry_timeout", 1e-4)),
-                retry_backoff=float(data.get("retry_backoff", 2.0)),
-            )
+            return _decode(cls, data)
         except (KeyError, TypeError, ValueError) as exc:
             raise FaultPlanError(f"malformed fault plan: {exc}") from exc
 
@@ -771,3 +598,52 @@ class FaultPlan:
                 return cls.from_json(fh.read())
         except OSError as exc:
             raise FaultPlanError(f"cannot read fault plan {path!r}: {exc}") from exc
+
+
+#: the fault-tuple fields of :class:`FaultPlan`, in declaration order
+_FAULT_FIELDS = tuple(f.name for f in fields(FaultPlan) if f.default == ())
+
+
+def _plain(value: Any) -> Any:
+    """JSON-ready form of a plan value: dataclasses become dicts (every
+    field, in declaration order) and tuples become lists, recursively."""
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    return value
+
+
+def _coercer(hint: Any) -> "Callable[[Any], Any]":
+    """How one JSON value becomes a field of type ``hint``.
+
+    ``int``/``float``/``bool`` coerce; ``X | None`` keeps ``None`` (the
+    wildcard endpoints); a tuple of fault dataclasses decodes each entry;
+    anything else passes through for the dataclass's own ``__post_init__``
+    to normalise (the partition ``groups``/``links`` tuples).
+    """
+    if hint in (int, float, bool):
+        return hint
+    args = get_args(hint)
+    if type(None) in args:
+        inner = _coercer(args[0])
+        return lambda v: None if v is None else inner(v)
+    if get_origin(hint) is tuple and is_dataclass(args[0]):
+        return lambda v: tuple(_decode(args[0], item) for item in v)
+    return lambda v: v
+
+
+@cache
+def _field_codecs(cls: type) -> "list[tuple[str, Callable, Any]]":
+    hints = get_type_hints(cls)
+    return [(f.name, _coercer(hints[f.name]), f.default) for f in fields(cls)]
+
+
+def _decode(cls: type, data: dict) -> Any:
+    """Build ``cls`` from a JSON object: required fields raise ``KeyError``
+    when absent, defaulted ones fall back to the dataclass default."""
+    return cls(**{
+        name: coerce(data[name] if default is MISSING
+                     else data.get(name, default))
+        for name, coerce, default in _field_codecs(cls)
+    })

@@ -259,6 +259,16 @@ class MetricsRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._metrics
 
+    def counter_total(self, name: str) -> float:
+        """Total of counter ``name`` over all its cells; 0 when unregistered.
+
+        Read-only: unlike :meth:`counter` it never registers an instrument,
+        so reporting on a lazy counter the run never touched leaves the
+        registry (and every snapshot of it) unchanged.
+        """
+        metric = self._metrics.get(name)
+        return 0 if metric is None else metric.total()
+
     def __getitem__(self, name: str) -> _Metric:
         try:
             return self._metrics[name]

@@ -189,6 +189,47 @@ class TestReplicaEvictionRung:
         assert space.store_of(2).get("A", 0) is not None
 
 
+class TestRePutAfterGCDuringReReplication:
+    def test_re_put_retires_replicas_of_a_collected_primary(self):
+        """GC inside re-replication can collect a primary the survey has
+        already listed; the copy made from it leaves a replica bookkept for
+        a primary that is gone. Re-putting that primary must retire the
+        stale replica instead of colliding with it on the same target."""
+        cluster = Cluster(4, machine=generic_multicore(2))
+        space = CoDS(
+            cluster, DOMAIN, enforce_memory=True, memory_per_node=4096,
+            replication=2, placer=ReplicaPlacer(cluster, 0),
+            spill_capacity=0,
+        )
+        space.consumer_counts.update(B=1, Y=1)
+        quarter = Box(lo=(0, 0), hi=(8, 8))  # 512 bytes
+        wide = Box(lo=(0, 0), hi=(12, 16))  # 1536 bytes
+        space.put_seq(0, "A", FULL, version=0, app_id=1)  # replica on 2
+        space.put_seq(4, "B", quarter, version=0, app_id=1)  # replica on 6
+        # Y squeezes B's replica out of core 6: B is under-replicated.
+        space.put_seq(6, "Y", wide, version=0, app_id=1)
+        assert space._replicas[("B", 0, 4)] == ()
+        space.get_seq(1, "B", quarter, version=0, app_id=7)
+        space.get_seq(1, "Y", wide, version=0, app_id=7)
+        # Node 1 takes A's replica down. Re-replicating A onto core 4 GCs
+        # B's fully-read primary, then B is re-replicated from its stale
+        # survey entry onto core 6.
+        space.mark_node_dead(1)
+        space.recover_node_crash(1)
+        space.restore_replication()
+        assert space.store_of(4).get("B", 0) is None
+        assert space._replicas[("B", 0, 4)] == (6,)
+
+        space.put_seq(4, "B", quarter, version=0, app_id=1)
+        assert space._replicas[("B", 0, 4)] == (6,)
+        copies = [
+            o for s in space._stores.values() for o in s.objects()
+            if (o.var, o.logical_owner) == ("B", 4)
+        ]
+        assert sorted(o.owner_core for o in copies) == [4, 6]
+        assert not space.lost_objects()
+
+
 class TestSpillAndRestore:
     def test_cold_primary_spills_and_restores_on_demand(self):
         space = make_enforced()

@@ -156,6 +156,14 @@ class TestRegistry:
         with pytest.raises(ReproError):
             MetricsRegistry()["nope"]
 
+    def test_counter_total_reads_without_registering(self):
+        reg = MetricsRegistry()
+        assert reg.counter_total("lazy") == 0
+        assert "lazy" not in reg and reg.snapshot() == MetricsRegistry().snapshot()
+        reg.counter("bytes", labelnames=("dir",)).inc(3, dir="in")
+        reg.counter("bytes", labelnames=("dir",)).inc(4, dir="out")
+        assert reg.counter_total("bytes") == 7
+
     def test_snapshot_round_trips_through_json(self, tmp_path):
         reg = MetricsRegistry()
         reg.counter("hits").inc(3)

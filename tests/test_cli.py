@@ -539,6 +539,28 @@ class TestProvenanceFlags:
         assert main(["explain", "slowest", "--ledger", missing]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_config_hash_covers_the_plan_not_artifact_paths(self, tmp_path,
+                                                            capsys):
+        from repro.analysis.runs import RunRegistry
+
+        db = str(tmp_path / "runs.db")
+        base = ["sequential", "--replication", "2", "--compute-seconds",
+                "0.5", "--runs-db", db]
+        runs = [
+            ["--partition", "0,1/2,3@0.1:0.3"],
+            ["--partition", "0/1,2,3@0.2:0.9"],
+            ["--partition", "0/1,2,3@0.2:0.9",
+             "--metrics-out", str(tmp_path / "m.json")],
+        ]
+        for extra in runs:
+            assert main(base + extra) == 0
+        capsys.readouterr()
+        with RunRegistry(db) as registry:
+            hashes = [r["config_hash"] for r in registry.list_runs()]
+        # Different cuts are different runs; where the metrics land is not.
+        assert hashes[0] != hashes[1]
+        assert hashes[1] == hashes[2]
+
 
 class TestPerfNoBaseline:
     def test_missing_snapshot_dir_reports_no_baseline(self, tmp_path,
